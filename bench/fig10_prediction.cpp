@@ -10,12 +10,12 @@
 #include <map>
 
 #include "campaign/executor.hpp"
-#include "experiments/harness.hpp"
 #include "support/env.hpp"
 #include "support/table.hpp"
 
 int main() {
   using namespace pdc;
+  const std::vector<int> paper_peers{2, 4, 8, 16, 32};  // the paper's 2^1..2^5
   std::printf("Fig. 10 -- Stage-1 reference vs dPerf prediction [s], optimization level 3\n\n");
 
   campaign::CampaignSpec camp;
@@ -25,7 +25,7 @@ int main() {
   camp.base.run = scenario::RunSpec::from_env();
   camp.base.run.level = ir::OptLevel::O3;
   camp.base.run.mode = scenario::Mode::Both;
-  camp.peers = experiments::paper_peer_counts();
+  camp.peers = paper_peers;
 
   campaign::ExecutorOptions opts;
   opts.jobs = env_int("PDC_CAMPAIGN_JOBS", 1);
@@ -44,7 +44,7 @@ int main() {
 
   TextTable table({"Peers", "reference", "dPerf prediction", "error %"});
   double worst_err = 0;
-  for (int peers : experiments::paper_peer_counts()) {
+  for (int peers : paper_peers) {
     const campaign::Outcome& out = *by_peers.at(peers);
     const auto& m = out.metrics;
     const auto it = m.find("prediction_error");

@@ -14,12 +14,12 @@
 #include <string>
 
 #include "campaign/executor.hpp"
-#include "experiments/harness.hpp"
 #include "support/env.hpp"
 #include "support/table.hpp"
 
 int main() {
   using namespace pdc;
+  const std::vector<int> paper_peers{2, 4, 8, 16, 32};  // the paper's 2^1..2^5
   std::printf("Fig. 11 -- reference vs dPerf predictions [s], optimization level 0\n\n");
 
   scenario::RunSpec base = scenario::RunSpec::from_env();
@@ -36,7 +36,7 @@ int main() {
   ref.base.platform = scenario::PlatformSpec::grid5000();
   ref.base.run = base;
   ref.base.run.mode = scenario::Mode::Reference;
-  ref.peers = experiments::paper_peer_counts();
+  ref.peers = paper_peers;
   campaign::Executor ref_executor{ref, opts};
   ref_executor.execute();
 
@@ -48,7 +48,7 @@ int main() {
   pred.base.run.mode = scenario::Mode::Predict;
   pred.platforms = {scenario::PlatformSpec::grid5000(), scenario::PlatformSpec::xdsl(),
                     scenario::PlatformSpec::lan()};
-  pred.peers = experiments::paper_peer_counts();
+  pred.peers = paper_peers;
   campaign::Executor pred_executor{pred, opts};
   pred_executor.execute();
 
@@ -71,7 +71,7 @@ int main() {
   }
 
   TextTable table({"Peers", "reference", "dPerf Grid5000", "dPerf xDSL", "dPerf LAN"});
-  for (int peers : experiments::paper_peer_counts()) {
+  for (int peers : paper_peers) {
     // Paper column order: Grid5000, xDSL, LAN.
     table.add_row({std::to_string(peers), TextTable::num(reference.at(peers), 2),
                    TextTable::num(predicted.at({"grid5000", peers}), 2),

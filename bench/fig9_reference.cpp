@@ -11,12 +11,12 @@
 #include <map>
 
 #include "campaign/executor.hpp"
-#include "experiments/harness.hpp"
 #include "support/env.hpp"
 #include "support/table.hpp"
 
 int main() {
   using namespace pdc;
+  const std::vector<int> paper_peers{2, 4, 8, 16, 32};  // the paper's 2^1..2^5
   const scenario::RunSpec base = scenario::RunSpec::from_env();
   std::printf("Fig. 9 -- Stage-1 reference execution time [s], obstacle problem %dx%d,\n"
               "%d iterations, P2PDC on the Bordeplage cluster model (1 Gbps NICs, 10 Gbps\n"
@@ -29,7 +29,7 @@ int main() {
   camp.base.platform = scenario::PlatformSpec::grid5000();
   camp.base.run = base;
   camp.base.run.mode = scenario::Mode::Reference;
-  camp.peers = experiments::paper_peer_counts();
+  camp.peers = paper_peers;
   camp.levels = ir::all_opt_levels();
 
   campaign::ExecutorOptions opts;
@@ -49,7 +49,7 @@ int main() {
   }
 
   TextTable table({"Peers", "opt 0", "opt 1", "opt 2", "opt 3", "opt s"});
-  for (int peers : experiments::paper_peer_counts()) {
+  for (int peers : paper_peers) {
     std::vector<std::string> row{std::to_string(peers)};
     for (ir::OptLevel lvl : ir::all_opt_levels())
       row.push_back(TextTable::num(solve.at({peers, static_cast<int>(lvl)}), 2));

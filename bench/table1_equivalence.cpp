@@ -10,7 +10,6 @@
 #include <map>
 
 #include "campaign/executor.hpp"
-#include "experiments/harness.hpp"
 #include "support/env.hpp"
 #include "support/table.hpp"
 

@@ -5,11 +5,9 @@
 #include <filesystem>
 #include <fstream>
 #include <mutex>
-#include <set>
 #include <sstream>
 #include <stdexcept>
 #include <system_error>
-#include <tuple>
 
 #include "support/csv.hpp"
 #include "support/log.hpp"
@@ -217,28 +215,6 @@ CampaignReport Executor::execute() {
   for (std::size_t i = 0; i < runs_.size(); ++i) {
     outcomes_[i].run = runs_[i];
     if (!try_resume(runs_[i], outcomes_[i])) pending.push_back(i);
-  }
-
-  // Derive everything the grid needs from the process-wide memos (dPerf
-  // cost profiles for reference runs, trace sets for predictions) before
-  // fanning out, so workers only hit the mutex-guarded cached paths
-  // instead of serializing on first touch. The warmed-key tuples mirror
-  // the memo keys in scenario/runner.cpp.
-  std::set<std::tuple<int, int, int, int>> warmed_costs;
-  std::set<std::tuple<int, int, int, int, int, double>> warmed_traces;
-  for (std::size_t idx : pending) {
-    const scenario::RunSpec& r = runs_[idx].spec.run;
-    if (r.mode != scenario::Mode::Predict &&
-        warmed_costs
-            .emplace(static_cast<int>(r.level), r.bench_n, r.bench_iters, r.bench_rcheck)
-            .second)
-      scenario::cost_profile(r.level, r);
-    if (r.mode != scenario::Mode::Reference &&
-        warmed_traces
-            .emplace(static_cast<int>(r.level), r.rcheck, r.grid_n, r.iters, r.peers,
-                     r.omega)
-            .second)
-      scenario::Runner{runs_[idx].spec}.traces();
   }
 
   std::mutex progress_mutex;

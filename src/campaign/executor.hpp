@@ -3,8 +3,9 @@
 // CampaignReport as JSON and CSV. Each run is fully independent — it owns
 // its own sim engine, platform and booted p2pdc::Environment via
 // scenario::Runner — so runs parallelize without sharing simulator state;
-// the only cross-run state is the memoized dPerf cost-profile cache (now
-// mutex-guarded and pre-warmed here) and the logger (thread-safe, lines
+// the only cross-run state is the process-wide dPerf memos (support::Memo:
+// each key derived once, by whichever worker asks first, while workers
+// needing it wait and other keys proceed) and the logger (thread-safe, lines
 // tagged with the run key).
 //
 // Resumability: with an output directory set, every completed run is

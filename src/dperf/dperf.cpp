@@ -61,11 +61,15 @@ std::vector<Trace> Dperf::traces(const Workload& full, int nprocs) const {
 
 Prediction replay_on(p2pdc::Environment& env, net::NodeIdx submitter_host,
                      p2pdc::TaskSpec spec, std::vector<Trace> traces, Time warmup) {
-  const int nprocs = static_cast<int>(traces.size());
-  spec.peers_needed = nprocs;
-  auto shared = std::make_shared<std::vector<Trace>>(std::move(traces));
+  return replay_on(env, submitter_host, std::move(spec),
+                   std::make_shared<const std::vector<Trace>>(std::move(traces)), warmup);
+}
 
-  auto main = [shared, &env](p2pdc::PeerContext& ctx) -> sim::Task<void> {
+Prediction replay_on(p2pdc::Environment& env, net::NodeIdx submitter_host,
+                     p2pdc::TaskSpec spec, std::shared_ptr<const std::vector<Trace>> traces,
+                     Time warmup) {
+  spec.peers_needed = static_cast<int>(traces->size());
+  auto main = [shared = std::move(traces), &env](p2pdc::PeerContext& ctx) -> sim::Task<void> {
     const Trace& trace = (*shared)[static_cast<std::size_t>(ctx.rank())];
     const double host_hz = env.platform().node(ctx.host()).speed_hz;
     const double scale = trace.host_hz / host_hz;  // reference-cycles -> local seconds

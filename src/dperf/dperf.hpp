@@ -8,6 +8,7 @@
 //   platform description -> predicted time.
 #pragma once
 
+#include <memory>
 #include <string>
 #include <vector>
 
@@ -70,6 +71,11 @@ struct Prediction {
 /// target host frequency), communication events travel the modelled
 /// network through P2PSAP channels. This is the "trace-based network
 /// simulation" stage with P2PDC in the role of SimGrid's MSG.
+Prediction replay_on(p2pdc::Environment& env, net::NodeIdx submitter_host,
+                     p2pdc::TaskSpec spec, std::shared_ptr<const std::vector<Trace>> traces,
+                     Time warmup = 12.0);
+
+/// Same, for a trace set the caller hands over.
 Prediction replay_on(p2pdc::Environment& env, net::NodeIdx submitter_host,
                      p2pdc::TaskSpec spec, std::vector<Trace> traces,
                      Time warmup = 12.0);

@@ -16,7 +16,6 @@ TraceSummary summarize_trace(const Trace& trace) {
   s.rank = trace.rank;
   s.nprocs = trace.nprocs;
   s.host_hz = trace.host_hz;
-  s.send_to.assign(static_cast<std::size_t>(std::max(trace.nprocs, 1)), PeerVolume{});
 
   // Marker positions partition the event stream.
   std::vector<std::size_t> markers;
@@ -57,8 +56,15 @@ TraceSummary summarize_trace(const Trace& trace) {
         break;
       case TraceEvent::Kind::Send:
         if (e.peer >= 0 && e.peer < trace.nprocs) {
-          s.send_to[static_cast<std::size_t>(e.peer)].bytes += e.bytes;
-          ++s.send_to[static_cast<std::size_t>(e.peer)].count;
+          // A rank talks to a handful of neighbours: a sorted vector, not an
+          // nprocs-sized table (that would be O(ranks^2) over a trace set).
+          auto it = std::lower_bound(
+              s.send_to.begin(), s.send_to.end(), e.peer,
+              [](const PeerVolume& v, int peer) { return v.peer < peer; });
+          if (it == s.send_to.end() || it->peer != e.peer)
+            it = s.send_to.insert(it, PeerVolume{e.peer});
+          it->bytes += e.bytes;
+          ++it->count;
         }
         break;
       case TraceEvent::Kind::Allreduce:

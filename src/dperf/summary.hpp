@@ -23,6 +23,7 @@ struct IterBlock {
 
 /// Outbound volume toward one peer rank.
 struct PeerVolume {
+  int peer = -1;
   double bytes = 0;
   std::uint64_t count = 0;
 };
@@ -44,7 +45,7 @@ struct TraceSummary {
   std::uint64_t total_compute_ns = 0;  // pre + all iterations
   std::uint64_t span_ns = 0;           // max single-iteration compute
   std::uint64_t collectives = 0;       // allreduce count
-  std::vector<PeerVolume> send_to;     // indexed by peer rank, size nprocs
+  std::vector<PeerVolume> send_to;     // peers actually sent to, ascending
 
   /// Expanded operation count (pre + sum over blocks of ops * repeats).
   std::uint64_t op_count() const;

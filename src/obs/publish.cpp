@@ -6,8 +6,8 @@
 #include "net/platform.hpp"
 #include "obs/metrics.hpp"
 #include "scenario/runner.hpp"
-#include "serve/cache.hpp"
 #include "sim/engine.hpp"
+#include "support/memo.hpp"
 
 namespace pdc::obs {
 
@@ -88,14 +88,18 @@ void publish_churn(Registry& reg, const scenario::ChurnPhaseRecord& c) {
 
 void publish_memos(Registry& reg, const scenario::MemoStats& s) {
   reg.gauge("memos", "cost_profiles", "memoized cost profiles")
-      .set(u(s.cost_profiles));
+      .set(u(s.cost_profiles.entries));
   reg.gauge("memos", "cost_profile_bytes", "cost profile footprint")
-      .set(u(s.cost_profile_bytes));
-  reg.gauge("memos", "trace_sets", "memoized dPerf trace sets").set(u(s.trace_sets));
-  reg.gauge("memos", "trace_bytes", "dPerf trace footprint").set(u(s.trace_bytes));
+      .set(u(s.cost_profiles.bytes));
+  reg.gauge("memos", "trace_sets", "memoized dPerf trace sets").set(u(s.traces.entries));
+  reg.gauge("memos", "trace_bytes", "dPerf trace footprint").set(u(s.traces.bytes));
+  reg.gauge("memos", "summary_sets", "memoized trace summary sets")
+      .set(u(s.summaries.entries));
+  reg.gauge("memos", "summary_bytes", "trace summary footprint")
+      .set(u(s.summaries.bytes));
 }
 
-void publish_cache(Registry& reg, const serve::CacheStats& s) {
+void publish_cache(Registry& reg, const support::MemoCounters& s) {
   reg.counter("cache", "hits", "memo cache hits").set(s.hits);
   reg.counter("cache", "misses", "memo cache misses").set(s.misses);
   reg.counter("cache", "evictions", "memo cache evictions").set(s.evictions);

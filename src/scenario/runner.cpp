@@ -4,8 +4,7 @@
 #include <cmath>
 #include <filesystem>
 #include <fstream>
-#include <map>
-#include <mutex>
+#include <memory>
 #include <sstream>
 #include <stdexcept>
 #include <system_error>
@@ -20,6 +19,7 @@
 #include "obstacle/minic_kernel.hpp"
 #include "support/env.hpp"
 #include "support/json.hpp"
+#include "support/memo.hpp"
 #include "support/rng.hpp"
 
 namespace pdc::scenario {
@@ -87,6 +87,13 @@ void deploy_daisy(Deployment& d, const net::DaisySpec& spec, const RunSpec& run)
   used.push_back(submitter_idx);
   d.submitter = d.platform.host(submitter_idx);
   d.env->boot_peer(d.submitter, worker_resources(d.platform, d.submitter));
+  std::sort(used.begin(), used.end());
+  used.erase(std::unique(used.begin(), used.end()), used.end());
+  // Without enough free hosts the free-host probe below would cycle forever.
+  const int needed = static_cast<int>(used.size()) + run.peers;
+  if (hosts < needed)
+    throw std::runtime_error("platform has " + std::to_string(hosts) + " hosts, run needs " +
+                             std::to_string(needed));
   const int stride = hosts / run.peers;
   int placed = 0;
   for (int k = 0; placed < run.peers && k < hosts; ++k) {
@@ -350,117 +357,95 @@ std::unique_ptr<Deployment> deploy(const PlatformSpec& spec, const RunSpec& run)
 
 namespace {
 
-// The process-wide dPerf memos behind cost_profile() and Runner::traces().
-// Named stores (instead of function-local statics) so memo_stats() can
-// report their footprint — the "hot across requests" working set the serve
-// daemon exposes in its status endpoint.
-struct CostMemo {
-  std::mutex mutex;
-  std::map<std::tuple<int, int, int, int>, obstacle::CostProfile> cache;
-};
-CostMemo& cost_memo() {
-  static CostMemo memo;
+// The process-wide dPerf memos behind cost_profile(), Runner::traces() and
+// the analytic phase — the "hot across requests" working set the serve
+// daemon reports in its status endpoint. Derivation is deterministic, so
+// which concurrent caller derives a key first cannot change any result.
+// None of them evicts (Runner::traces() hands out references into the trace
+// memo).
+using CostKey = std::tuple<int, int, int, int>;
+// Traces and their summaries depend only on these run fields — never on the
+// platform — so a campaign sweeping platforms or churn axes derives one
+// workload once and every grid point reuses it.
+using TraceKey = std::tuple<int, int, int, int, int, double>;
+
+TraceKey trace_key(const RunSpec& run) {
+  return {static_cast<int>(run.level), run.rcheck, run.grid_n, run.iters, run.rank_count(),
+          run.omega};
+}
+
+using CostProfiles = support::Memo<CostKey, obstacle::CostProfile>;
+using TraceSets = support::Memo<TraceKey, std::vector<dperf::Trace>>;
+using SummarySets = support::Memo<TraceKey, std::vector<dperf::TraceSummary>>;
+
+CostProfiles& cost_memo() {
+  static CostProfiles memo{CostProfiles::kUnbounded,
+                           [](const CostKey&, const obstacle::CostProfile&) {
+                             return sizeof(obstacle::CostProfile);
+                           }};
   return memo;
 }
 
-struct TraceMemo {
-  std::mutex mutex;
-  std::map<std::tuple<int, int, int, int, int, double>, std::vector<dperf::Trace>> cache;
-};
-TraceMemo& trace_memo() {
-  static TraceMemo memo;
+TraceSets& trace_memo() {
+  static TraceSets memo{TraceSets::kUnbounded,
+                        [](const TraceKey&, const std::vector<dperf::Trace>& traces) {
+                          std::size_t bytes = 0;
+                          for (const dperf::Trace& t : traces)
+                            bytes += sizeof(dperf::Trace) +
+                                     t.events.capacity() * sizeof(dperf::TraceEvent);
+                          return bytes;
+                        }};
   return memo;
 }
 
-// Trace summaries share the traces' key space (they are a pure collapse of
-// the memoized trace set) and are platform-independent like them: a
-// campaign sweeping platforms or churn axes in mode=analytic summarizes one
-// workload once, then every grid point is just plan_on.
-struct SummaryMemo {
-  std::mutex mutex;
-  std::map<std::tuple<int, int, int, int, int, double>, std::vector<dperf::TraceSummary>>
-      cache;
-};
-SummaryMemo& summary_memo() {
-  static SummaryMemo memo;
+SummarySets& summary_memo() {
+  static SummarySets memo{
+      SummarySets::kUnbounded,
+      [](const TraceKey&, const std::vector<dperf::TraceSummary>& set) {
+        std::size_t bytes = 0;
+        for (const dperf::TraceSummary& s : set) {
+          bytes += sizeof(s) + s.pre.capacity() * sizeof(dperf::TraceEvent) +
+                   s.send_to.capacity() * sizeof(dperf::PeerVolume);
+          for (const dperf::IterBlock& b : s.blocks)
+            bytes += sizeof(b) + b.ops.capacity() * sizeof(dperf::TraceEvent);
+        }
+        return bytes;
+      }};
   return memo;
 }
 
 }  // namespace
 
 const obstacle::CostProfile& cost_profile(ir::OptLevel level, const RunSpec& run) {
-  // Process-wide memo shared by every concurrent campaign run; the mutex
-  // covers lookup and derivation (map references stay valid across inserts,
-  // so returning by reference is safe after unlocking). Derivation is
-  // deterministic, so serializing first-touch cannot change any result;
-  // campaign::Executor pre-warms the profiles its grid needs before fanning
-  // out so workers only ever hit the cached path.
-  CostMemo& memo = cost_memo();
-  const auto key =
-      std::make_tuple(static_cast<int>(level), run.bench_n, run.bench_iters, run.bench_rcheck);
-  std::lock_guard<std::mutex> lock(memo.mutex);
-  auto it = memo.cache.find(key);
-  if (it == memo.cache.end()) {
-    it = memo.cache
-             .emplace(key, obstacle::derive_cost_profile(level, bench_problem_of(run),
-                                                         run.bench_iters, run.bench_rcheck))
-             .first;
-  }
-  return it->second;
+  const CostKey key{static_cast<int>(level), run.bench_n, run.bench_iters, run.bench_rcheck};
+  return *cost_memo().get(key, [&] {
+    return obstacle::derive_cost_profile(level, bench_problem_of(run), run.bench_iters,
+                                         run.bench_rcheck);
+  });
 }
 
 MemoStats memo_stats() {
-  MemoStats s;
-  {
-    CostMemo& memo = cost_memo();
-    std::lock_guard<std::mutex> lock(memo.mutex);
-    s.cost_profiles = memo.cache.size();
-    s.cost_profile_bytes = memo.cache.size() * sizeof(obstacle::CostProfile);
-  }
-  {
-    TraceMemo& memo = trace_memo();
-    std::lock_guard<std::mutex> lock(memo.mutex);
-    s.trace_sets = memo.cache.size();
-    for (const auto& [key, traces] : memo.cache) {
-      (void)key;
-      for (const dperf::Trace& t : traces)
-        s.trace_bytes += sizeof(dperf::Trace) + t.events.capacity() * sizeof(dperf::TraceEvent);
-    }
-  }
-  return s;
+  return {cost_memo().stats(), trace_memo().stats(), summary_memo().stats()};
 }
 
 std::unique_ptr<Deployment> Runner::deploy() const {
   return scenario::deploy(spec_.platform, spec_.run);
 }
 
-std::vector<dperf::Trace> Runner::traces() const {
-  // Traces depend only on these run fields — never on the platform — so a
-  // campaign replaying one workload across a platform axis reuses one trace
-  // set instead of re-running the dPerf pipeline per grid cell. Memoized
-  // like cost_profile above: mutex-guarded, deterministic derivation;
-  // campaign::Executor pre-warms the keys its grid needs (mirroring this
-  // tuple) so pooled workers never serialize on a derivation.
+std::shared_ptr<const std::vector<dperf::Trace>> Runner::trace_set() const {
   const RunSpec& run = spec_.run;
-  TraceMemo& memo = trace_memo();
-  const auto key = std::make_tuple(static_cast<int>(run.level), run.rcheck, run.grid_n,
-                                   run.iters, run.rank_count(), run.omega);
-  std::lock_guard<std::mutex> lock(memo.mutex);
-  auto it = memo.cache.find(key);
-  if (it == memo.cache.end()) {
+  return trace_memo().get(trace_key(run), [&run] {
     dperf::DperfOptions opt;
     opt.level = run.level;
     opt.chunk = run.rcheck;
     opt.sample_iters = 3 * run.rcheck;
     const dperf::Dperf pipeline{obstacle::minic_kernel_source(), opt};
-    it = memo.cache
-             .emplace(key, pipeline.traces(obstacle::kernel_workload(problem_of(run),
-                                                                     run.iters, run.rcheck),
-                                           run.rank_count()))
-             .first;
-  }
-  return it->second;
+    return pipeline.traces(obstacle::kernel_workload(problem_of(run), run.iters, run.rcheck),
+                           run.rank_count());
+  });
 }
+
+const std::vector<dperf::Trace>& Runner::traces() const { return *trace_set(); }
 
 PhaseRecord Runner::run_reference() const {
   const RunSpec& run = spec_.run;
@@ -503,6 +488,10 @@ PhaseRecord Runner::run_reference() const {
 }
 
 PhaseRecord Runner::run_predicted(std::vector<dperf::Trace> traces) const {
+  return replay(std::make_shared<const std::vector<dperf::Trace>>(std::move(traces)));
+}
+
+PhaseRecord Runner::replay(std::shared_ptr<const std::vector<dperf::Trace>> traces) const {
   const RunSpec& run = spec_.run;
   obs::TraceRecorder* tr = obs::trace();
   if (tr) tr->begin_phase("predicted");
@@ -521,15 +510,8 @@ PhaseRecord Runner::run_predicted(std::vector<dperf::Trace> traces) const {
   int attempts = 0;
   do {
     ++attempts;
-    // Copy the traces only while a retry might still need them; the final
-    // permitted attempt (the only one, without churn) moves them.
-    if (attempts >= max_attempts)
-      pred = dperf::replay_on(*d->env, d->submitter,
-                              obstacle::make_task_spec(cfg, run.rank_count()),
-                              std::move(traces));
-    else
-      pred = dperf::replay_on(*d->env, d->submitter,
-                              obstacle::make_task_spec(cfg, run.rank_count()), traces);
+    pred = dperf::replay_on(*d->env, d->submitter,
+                            obstacle::make_task_spec(cfg, run.rank_count()), traces);
   } while (!pred.computation.ok && attempts < max_attempts);
   if (tr) tr->span_end(tr->track("run"), d->engine.now());
   if (!pred.computation.ok)
@@ -566,24 +548,17 @@ PhaseRecord Runner::run_analytic(const std::vector<dperf::Trace>& traces) const 
   if (tr)
     tr->span_begin(tr->track("run"), "analytic", d->engine.now(),
                    {{"peers", run.peers}, {"ranks", run.rank_count()}});
-  std::vector<dperf::TraceSummary> summaries;
-  {
-    SummaryMemo& memo = summary_memo();
-    const auto key = std::make_tuple(static_cast<int>(run.level), run.rcheck, run.grid_n,
-                                     run.iters, run.rank_count(), run.omega);
-    std::lock_guard<std::mutex> lock(memo.mutex);
-    auto it = memo.cache.find(key);
-    if (it == memo.cache.end()) {
-      std::vector<dperf::TraceSummary> fresh;
-      fresh.reserve(traces.size());
-      for (const dperf::Trace& t : traces) fresh.push_back(dperf::summarize_trace(t));
-      it = memo.cache.emplace(key, std::move(fresh)).first;
-    }
-    summaries = it->second;
-  }
+  // Summaries are a pure collapse of the memoized trace set, so they share
+  // its key space and are memoized next to it.
+  const SummarySets::Ptr summaries = summary_memo().get(trace_key(run), [&traces] {
+    std::vector<dperf::TraceSummary> fresh;
+    fresh.reserve(traces.size());
+    for (const dperf::Trace& t : traces) fresh.push_back(dperf::summarize_trace(t));
+    return fresh;
+  });
   const dperf::AnalyticReport rep =
       dperf::plan_on(*d->env, d->submitter, obstacle::make_task_spec(cfg, run.rank_count()),
-                     summaries, d->workers);
+                     *summaries, d->workers);
   if (tr) tr->span_end(tr->track("run"), d->engine.now());
   if (!rep.ok)
     throw std::runtime_error("analytic plan failed (" + spec_.name + "): " + rep.failure);
@@ -639,21 +614,18 @@ RunRecord Runner::run_phases(const char*& phase) const {
     phase = "reference";
     rec.reference = run_reference();
   }
-  if (mode == Mode::Predict || mode == Mode::Both) {
+  if (mode != Mode::Reference) {
+    // Replay and plan read the memoized trace set in place.
     phase = "traces";
-    std::vector<dperf::Trace> tr = traces();
-    phase = "predicted";
-    rec.predicted = run_predicted(std::move(tr));
-  }
-  if (mode == Mode::Analytic || mode == Mode::BothAnalytic) {
-    phase = "traces";
-    std::vector<dperf::Trace> tr = traces();
-    if (mode == Mode::BothAnalytic) {
+    const std::shared_ptr<const std::vector<dperf::Trace>> tr = trace_set();
+    if (mode != Mode::Analytic) {
       phase = "predicted";
-      rec.predicted = run_predicted(tr);
+      rec.predicted = replay(tr);
     }
-    phase = "analytic";
-    rec.analytic = run_analytic(tr);
+    if (mode == Mode::Analytic || mode == Mode::BothAnalytic) {
+      phase = "analytic";
+      rec.analytic = run_analytic(*tr);
+    }
   }
   if (recorder) {
     phase = "trace";

@@ -3,9 +3,8 @@
 // dPerf prediction the spec asks for, and returns a structured RunRecord
 // that serializes to JSON through the shared support writer.
 //
-// This subsumes the old experiments::Deployment/free-function API: the
-// experiments harness is now a thin compatibility shim over this Runner,
-// and every bench/example drives scenarios instead of hand-rolled drivers.
+// Every bench, example and service drives scenarios through this Runner
+// (or campaign::Executor over it) instead of hand-rolled drivers.
 #pragma once
 
 #include <cstddef>
@@ -18,6 +17,7 @@
 #include "obstacle/distributed.hpp"
 #include "p2pdc/environment.hpp"
 #include "scenario/spec.hpp"
+#include "support/memo.hpp"
 
 namespace pdc::scenario {
 
@@ -58,19 +58,20 @@ net::Platform build_platform(const PlatformSpec& spec, const RunSpec& run,
 std::unique_ptr<Deployment> deploy(const PlatformSpec& spec, const RunSpec& run);
 
 /// dPerf block-benchmark cost profile for a level (memoized per process,
-/// keyed on level + bench sizing).
+/// keyed on level + bench sizing; the dPerf memos never evict, so the
+/// reference stays valid for the life of the process).
 const obstacle::CostProfile& cost_profile(ir::OptLevel level, const RunSpec& run);
 
-/// Footprint of the process-wide dPerf memos (cost profiles and trace sets)
-/// that stay hot across runs — what a resident server keeps warm so repeated
-/// what-if queries skip re-benchmarking. Byte counts are estimates of the
-/// dominant storage (trace event vectors, profile structs), not allocator
-/// truth.
+/// Counters of the process-wide dPerf memos (cost profiles, trace sets and
+/// trace summaries) that stay hot across runs — what a resident server keeps
+/// warm so repeated what-if queries skip re-benchmarking. Byte counts are
+/// estimates of the dominant storage (event vectors, profile structs), not
+/// allocator truth. Each memo derives a key once: `misses` counts
+/// derivations.
 struct MemoStats {
-  std::size_t cost_profiles = 0;
-  std::size_t cost_profile_bytes = 0;
-  std::size_t trace_sets = 0;
-  std::size_t trace_bytes = 0;
+  support::MemoCounters cost_profiles;
+  support::MemoCounters traces;
+  support::MemoCounters summaries;
 };
 MemoStats memo_stats();
 
@@ -144,10 +145,11 @@ class Runner {
   std::unique_ptr<Deployment> deploy() const;
 
   /// Per-rank dPerf traces (sampled + scaled up) for the spec's workload.
-  /// Platform-independent and memoized per process (mutex-guarded, like
-  /// cost_profile), so replaying one workload across many platforms runs
-  /// the dPerf pipeline once.
-  std::vector<dperf::Trace> traces() const;
+  /// Platform-independent and memoized per process, so replaying one
+  /// workload across many platforms runs the dPerf pipeline once. The dPerf
+  /// memos never evict: the reference stays valid for the life of the
+  /// process.
+  const std::vector<dperf::Trace>& traces() const;
 
   /// Reference execution (Phantom values: full event schedule, no numerics).
   PhaseRecord run_reference() const;
@@ -156,7 +158,9 @@ class Runner {
   PhaseRecord run_predicted(std::vector<dperf::Trace> traces) const;
 
   /// Analytic plan on this scenario's platform: summaries x cost model, no
-  /// engine replay (dperf::plan_on). Throws on planner failure.
+  /// engine replay (dperf::plan_on). The summaries are memoized per
+  /// workload, derived from `traces` on first use. Throws on planner
+  /// failure.
   PhaseRecord run_analytic(const std::vector<dperf::Trace>& traces) const;
 
   /// Executes the phases `spec().run.mode` asks for and assembles the record.
@@ -174,6 +178,9 @@ class Runner {
   /// The shared phase sequence behind run()/try_run(); updates `phase` as it
   /// goes so a catcher can name the phase that threw.
   RunRecord run_phases(const char*& phase) const;
+  /// The memoized trace set behind traces(), shared rather than copied.
+  std::shared_ptr<const std::vector<dperf::Trace>> trace_set() const;
+  PhaseRecord replay(std::shared_ptr<const std::vector<dperf::Trace>> traces) const;
 
   ScenarioSpec spec_;
 };

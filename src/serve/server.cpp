@@ -15,6 +15,7 @@
 #include "campaign/executor.hpp"
 #include "campaign/spec.hpp"
 #include "scenario/runner.hpp"
+#include "support/env.hpp"
 #include "support/json.hpp"
 #include "support/log.hpp"
 #include "support/thread_pool.hpp"
@@ -48,11 +49,23 @@ bool read_file(const fs::path& path, std::string& out) {
   return true;
 }
 
+/// The response-cache budget: the explicit option, else the
+/// PDC_SERVE_CACHE_BYTES knob. A non-positive knob disables caching outright
+/// (every request simulates), the honest reading of "no cache budget".
+std::size_t cache_budget(std::size_t option) {
+  if (option != static_cast<std::size_t>(-1)) return option;
+  const int v = env_int("PDC_SERVE_CACHE_BYTES", 64 << 20);
+  return v > 0 ? static_cast<std::size_t>(v) : 0;
+}
+
 }  // namespace
 
 Server::Server(ServerOptions opts)
     : opts_(std::move(opts)),
-      cache_(opts_.cache_bytes),
+      cache_(cache_budget(opts_.cache_bytes),
+             [](const std::string& key, const std::string& value) {
+               return key.size() + value.size();
+             }),
       start_(std::chrono::steady_clock::now()) {
   if (opts_.unix_path.empty() && opts_.tcp_port < 0 && opts_.spool_dir.empty())
     throw std::invalid_argument(
@@ -76,7 +89,7 @@ bool Server::stopping() const {
 }
 
 ServeStats Server::stats() const {
-  return collector_.snapshot(cache_, elapsed_since(start_));
+  return collector_.snapshot(cache_.stats(), elapsed_since(start_));
 }
 
 void Server::run() {
@@ -212,9 +225,9 @@ Response Server::run_scenario(const std::string& text) {
     return Response{false, "", e.what()};
   }
   const std::string key = "scn:" + scenario::render_scenario(spec);
-  if (std::optional<std::string> memo = cache_.get(key)) {
+  if (const auto memo = cache_.find(key)) {
     collector_.record_latency(true, elapsed_since(t0));
-    return Response{true, "hit", std::move(*memo)};
+    return Response{true, "hit", *memo};
   }
   const scenario::RunRecord record = scenario::Runner{std::move(spec)}.try_run();
   std::string body = record.to_json();
@@ -247,9 +260,9 @@ Response Server::run_campaign(const std::string& text) {
     out.run = run;
     const std::string key = "scn:" + scenario::render_scenario(run.spec);
     std::string body;
-    if (std::optional<std::string> memo = cache_.get(key)) {
+    if (const auto memo = cache_.find(key)) {
       out.skipped = true;  // served from memory, not simulated
-      body = std::move(*memo);
+      body = *memo;
     } else {
       all_hits = false;
       const scenario::RunRecord record = scenario::Runner{run.spec}.try_run();

@@ -5,9 +5,13 @@
 // (serve/protocol.hpp). It stays alive across requests, which is the whole
 // point: the dPerf cost-profile and trace memos (scenario::cost_profile,
 // Runner::traces) stay hot in-process, and complete answers are memoized in
-// an LRU byte-budgeted cache keyed on canonical spec text
-// (serve/cache.hpp) — so the repeated what-if query, the dominant traffic
-// shape at "millions of users" scale, is a map lookup, not a simulation.
+// an LRU byte-budgeted support::Memo keyed on canonical spec text — so the
+// repeated what-if query, the dominant traffic shape at "millions of users"
+// scale, is a map lookup, not a simulation. Keys are *canonical* renderings
+// (scenario::render_scenario of the parsed spec), so textual variants of one
+// scenario — reordered lines, comments, defaulted keys spelled out — share an
+// entry; entries are charged key + value bytes; failed runs are answered but
+// never cached.
 //
 // Concurrency: requests are handled on a fixed worker pool (`jobs`); each
 // connection carries exactly one request and is served entirely by one
@@ -35,9 +39,9 @@
 #include <string>
 
 #include "scenario/spec.hpp"
-#include "serve/cache.hpp"
 #include "serve/protocol.hpp"
 #include "serve/stats.hpp"
+#include "support/memo.hpp"
 #include "support/socket.hpp"
 
 namespace pdc {
@@ -57,7 +61,8 @@ struct ServerOptions {
   std::string spool_dir;
   /// Concurrent request workers.
   int jobs = 1;
-  /// Memo-cache byte budget; SIZE_MAX = the PDC_SERVE_CACHE_BYTES knob.
+  /// Memo-cache byte budget; SIZE_MAX = the PDC_SERVE_CACHE_BYTES knob
+  /// (default 64 MiB; non-positive disables response caching).
   std::size_t cache_bytes = static_cast<std::size_t>(-1);
   /// Final ServeStats JSON written on shutdown (empty = none).
   std::string stats_path;
@@ -113,7 +118,7 @@ class Server {
   ServerOptions opts_;
   Socket unix_listener_;
   Socket tcp_listener_;
-  MemoCache cache_;
+  support::Memo<std::string, std::string> cache_;
   StatsCollector collector_;
   std::atomic<bool> stop_{false};
   std::chrono::steady_clock::time_point start_;

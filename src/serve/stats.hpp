@@ -11,7 +11,7 @@
 
 #include "obs/metrics.hpp"
 #include "scenario/runner.hpp"
-#include "serve/cache.hpp"
+#include "support/memo.hpp"
 
 namespace pdc::serve {
 
@@ -25,8 +25,8 @@ struct ServeStats {
   std::uint64_t metrics_requests = 0;
   std::uint64_t pings = 0;
   std::uint64_t errors = 0;          // malformed requests + failed runs
-  CacheStats cache;                  // the RunRecord memo cache
-  scenario::MemoStats memos;         // hot dPerf cost-profile / trace memos
+  support::MemoCounters cache;       // the RunRecord memo cache
+  scenario::MemoStats memos;         // hot dPerf cost-profile / trace / summary memos
   int in_flight = 0;                 // requests being processed right now
   int queue_peak = 0;                // max in_flight observed
   double uptime_seconds = 0;
@@ -64,7 +64,7 @@ class StatsCollector {
   void record_latency(bool cache_hit, double seconds);
 
   /// Snapshot, merging in the cache's and the process memos' current state.
-  ServeStats snapshot(const MemoCache& cache, double uptime_seconds) const;
+  ServeStats snapshot(const support::MemoCounters& cache, double uptime_seconds) const;
 
  private:
   mutable std::mutex mutex_;

@@ -221,9 +221,33 @@ TEST(TraceSummary, CompressesRepeatedIterations) {
   EXPECT_EQ(s.op_count(), 1u + 10u * 2u);
   EXPECT_EQ(s.total_compute_ns, 500u + 10u * 1000u);
   EXPECT_EQ(s.span_ns, 1000u);
+  ASSERT_EQ(s.send_to.size(), 1u);  // only the peer actually sent to
+  EXPECT_EQ(s.send_to[0].peer, 1);
+  EXPECT_DOUBLE_EQ(s.send_to[0].bytes, 640.0);
+  EXPECT_EQ(s.send_to[0].count, 10u);
+}
+
+// Send volumes list only the peers a rank talks to, in ascending rank
+// order, however large the computation: a full-population trace set must
+// not grow with ranks squared.
+TEST(TraceSummary, SendVolumesListOnlyPeersSentTo) {
+  dperf::Trace t;
+  t.rank = 5;
+  t.nprocs = 10000;
+  using K = dperf::TraceEvent::Kind;
+  for (int peer : {7, 2, 7, -1, 10000}) {
+    dperf::TraceEvent send{K::Send};
+    send.peer = peer;
+    send.bytes = 8;
+    t.events.push_back(send);
+  }
+  const dperf::TraceSummary s = dperf::summarize_trace(t);
   ASSERT_EQ(s.send_to.size(), 2u);
-  EXPECT_DOUBLE_EQ(s.send_to[1].bytes, 640.0);
-  EXPECT_EQ(s.send_to[1].count, 10u);
+  EXPECT_EQ(s.send_to[0].peer, 2);
+  EXPECT_EQ(s.send_to[0].count, 1u);
+  EXPECT_EQ(s.send_to[1].peer, 7);
+  EXPECT_DOUBLE_EQ(s.send_to[1].bytes, 16.0);
+  EXPECT_EQ(s.send_to[1].count, 2u);
 }
 
 TEST(TraceSummary, MarkerFreeTraceIsPreOnly) {

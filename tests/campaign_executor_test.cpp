@@ -198,6 +198,29 @@ TEST(CampaignExecutor, BadGridPointRecordsErrorInsteadOfThrowing) {
       << csv;
 }
 
+// Pooled workers share the process-wide trace memo with no pre-warm pass:
+// with `ranks` below `peers`, every cell of a peers x platform grid has one
+// trace key, so four concurrent workers must derive it exactly once.
+TEST(CampaignExecutor, ParallelWorkersDeriveEachTraceSetOnce) {
+  CampaignSpec spec = tiny_campaign();
+  spec.base.run.mode = scenario::Mode::Predict;
+  spec.base.run.ranks = 2;
+  spec.base.run.grid_n = 38;  // a workload no other test here memoizes
+  spec.repetitions = 1;
+  spec.peers = {3, 4, 5, 6};
+  spec.platforms = {scenario::PlatformSpec::lan(), scenario::PlatformSpec::grid5000()};
+  const support::MemoCounters before = scenario::memo_stats().traces;
+  ExecutorOptions opts;
+  opts.jobs = 4;
+  Executor executor{spec, opts};
+  const CampaignReport report = executor.execute();
+  EXPECT_EQ(report.executed, 8u);
+  EXPECT_EQ(report.errors, 0u);
+  const support::MemoCounters after = scenario::memo_stats().traces;
+  EXPECT_EQ(after.misses - before.misses, 1u);
+  EXPECT_EQ(after.hits - before.hits, 7u);  // every other run reused it
+}
+
 TEST(CampaignExecutor, ReportSerializesAsJsonAndCsv) {
   CampaignSpec spec = tiny_campaign();
   spec.base.run.mode = scenario::Mode::Both;  // exercise every metric

@@ -5,6 +5,7 @@
 
 #include <gtest/gtest.h>
 
+#include <chrono>
 #include <set>
 
 #include "net/platfile.hpp"
@@ -115,6 +116,26 @@ TEST(ScenarioRunner, TooSmallPlatformThrows) {
   PlatformSpec star = PlatformSpec::grid5000();
   std::get<net::StarSpec>(star.spec).hosts = 4;  // needs peers+3 = 5
   EXPECT_THROW(deploy(star, smoke_run(2)), std::runtime_error);
+}
+
+// More workers than the xDSL grid has free hosts used to spin the Daisy
+// placement forever; it must fail like every other too-small platform. (A
+// few ranks keep the trace phase before the deployment cheap.)
+TEST(ScenarioRunner, XdslPlatformTooSmallFailsPromptly) {
+  RunSpec run;
+  run.peers = 1500;
+  run.ranks = 4;
+  run.mode = Mode::Predict;
+  run.grid_n = 130;
+  run.iters = 40;
+  const auto t0 = std::chrono::steady_clock::now();
+  const RunRecord rec = Runner{{"xdsl-too-small", PlatformSpec::xdsl(), run}}.try_run();
+  const double seconds =
+      std::chrono::duration<double>(std::chrono::steady_clock::now() - t0).count();
+  EXPECT_FALSE(rec.ok());
+  EXPECT_EQ(rec.error.rfind("[predicted] platform has 1024 hosts, run needs ", 0), 0u)
+      << rec.error;
+  EXPECT_LT(seconds, 10.0);
 }
 
 // Paper §IV invariant (Fig. 10): on the identical platform, the dPerf
