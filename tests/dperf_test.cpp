@@ -2,6 +2,9 @@
 // trace format, scale-up extrapolation and block benchmarking.
 #include <gtest/gtest.h>
 
+#include <fstream>
+#include <sstream>
+
 #include "dperf/dperf.hpp"
 #include "minic/parser.hpp"
 #include "minic/sema.hpp"
@@ -245,6 +248,35 @@ TEST(TraceGen, ScaledUpTraceMatchesFullRunClosely) {
   const double d = static_cast<double>(direct.total_compute_ns());
   const double s = static_cast<double>(scaled.total_compute_ns());
   EXPECT_NEAR(s / d, 1.0, 0.05);
+}
+
+// Every rank of the obstacle kernel (grid 66, 3 ranks, 40 iterations
+// sampled at 12 and scaled up, rcheck 4), at O0 and O3, must reproduce the
+// committed dPerf save-format files byte for byte: the VM's cycle model and
+// the trace recorder are pinned end to end.
+TEST(TraceGen, KernelTracesMatchCommittedGoldens) {
+  obstacle::ObstacleProblem p;
+  p.n = 66;
+  const Workload w = obstacle::kernel_workload(p, /*iters=*/40, /*rcheck=*/4);
+  for (ir::OptLevel level : {ir::OptLevel::O0, ir::OptLevel::O3}) {
+    DperfOptions opt;
+    opt.level = level;
+    opt.chunk = 4;
+    opt.sample_iters = 12;
+    const Dperf pipeline{obstacle::minic_kernel_source(), opt};
+    const std::vector<Trace> traces = pipeline.traces(w, 3);
+    ASSERT_EQ(traces.size(), 3u);
+    for (const Trace& t : traces) {
+      const std::string path = std::string(PDC_TEST_DATA_DIR) + "/golden/dperf/kernel_" +
+                               ir::opt_level_name(level) + "_rank" + std::to_string(t.rank) +
+                               ".trace";
+      std::ifstream in(path, std::ios::binary);
+      ASSERT_TRUE(in) << "missing golden " << path;
+      std::stringstream expected;
+      expected << in.rdbuf();
+      EXPECT_EQ(save_trace(t), expected.str()) << path;
+    }
+  }
 }
 
 TEST(Facade, InstrumentedSourceIsTheArtifact) {

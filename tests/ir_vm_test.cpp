@@ -180,6 +180,180 @@ TEST(Vm, CyclesScaleWithWork) {
   EXPECT_LT(c2, 15 * c1);
 }
 
+// --- pinned cycle accounting ---
+//
+// The constants below were recorded from the reference per-instruction
+// interpreter. The VM may charge cycles in any grouping, but every hook,
+// block timer and counter must read exactly these values.
+
+const char* kPinnedProgram = R"(
+double wsum(double a[], int n, double w) {
+  dperf_block_begin(11);
+  double s = 0.0;
+  for (int i = 0; i < n; i = i + 1) { s = s + w * a[i]; }
+  dperf_block_end(11);
+  return s;
+}
+void scale(double a[], int n, double f) {
+  for (int i = 0; i < n; i = i + 1) { a[i] = floor(a[i] * f); }
+}
+int main() {
+  int me = p2p_rank();
+  int np = p2p_nprocs();
+  int n = p2p_param(0);
+  double f = p2p_param_f(0);
+  double a[n];
+  int q = n / 3 + n % 7;
+  double acc = 0.0;
+  dperf_block_begin(1);
+  for (int i = 0; i < n; i = i + 1) { a[i] = sqrt(1.0 * i) + fabs(f - i); }
+  dperf_block_end(1);
+  for (int it = 0; it < 6; it = it + 1) {
+    dperf_iter_mark(3);
+    p2p_send(me + 1, 1, a, 0, n);
+    p2p_recv(me - 1, 2, a, 1, q);
+    dperf_block_begin(2);
+    scale(a, n, 1.5);
+    acc = fmax(acc, wsum(a, n, 0.5));
+    acc = fmin(acc, 1.0e9);
+    dperf_block_end(2);
+    if (it % 3 == 2) { acc = acc + p2p_allreduce_max(acc); }
+  }
+  if (acc > 0.0) { return me * 10 + np; }
+  return 0;
+}
+)";
+
+/// Records the cycle count every hook observes.
+struct CycleProbe : vm::CommHooks {
+  std::vector<double> seen;
+  int rank() override { return 1; }
+  int nprocs() override { return 4; }
+  long long param(int i) override { return 40 + i; }
+  double param_f(int i) override { return 2.5 + i; }
+  void send(int, int, vm::ArrayObj&, long long, long long) override {
+    seen.push_back(vm_->cycles());
+  }
+  void recv(int, int, vm::ArrayObj& arr, long long off, long long n) override {
+    for (long long k = 0; k < n; ++k) arr.data[static_cast<std::size_t>(off + k)].f = 0.5 * k;
+    seen.push_back(vm_->cycles());
+  }
+  double allreduce_max(double v) override {
+    seen.push_back(vm_->cycles());
+    return v + 1;
+  }
+  void iter_mark(long long) override { seen.push_back(vm_->cycles()); }
+
+  double seen_sum() const {
+    double sum = 0;
+    for (double c : seen) sum += c;
+    return sum;
+  }
+};
+
+struct PinnedRun {
+  long long ret;
+  double cycles;
+  std::uint64_t instructions;
+  double hook_cycle_sum;
+  std::uint64_t block_cycles[3];  // blocks 1, 2 and 11 (nested in 2)
+};
+
+TEST(Vm, PinnedCountersAtO0AndO3) {
+  const std::pair<OptLevel, PinnedRun> cases[] = {
+      {OptLevel::O0, {14, 36420, 9040, 385940, {4534, 25056, 10428}}},
+      {OptLevel::O3, {14, 22076, 3551, 240152, {3035, 12462, 3888}}},
+  };
+  for (const auto& [lvl, want] : cases) {
+    SCOPED_TRACE(ir::opt_level_name(lvl));
+    const ir::IrProgram prog = ir::compile_source(kPinnedProgram, lvl);
+    vm::Vm m{prog};
+    CycleProbe probe;
+    m.set_hooks(&probe);
+    EXPECT_EQ(m.run_main(), want.ret);
+    EXPECT_EQ(m.cycles(), want.cycles);
+    EXPECT_EQ(m.papi().instructions, want.instructions);
+    EXPECT_EQ(m.papi().iter_marks, 6u);
+    EXPECT_EQ(probe.seen.size(), 20u);
+    EXPECT_EQ(probe.seen_sum(), want.hook_cycle_sum);
+    ASSERT_EQ(m.papi().blocks.size(), 3u);
+    const int ids[] = {1, 2, 11};
+    const std::uint64_t execs[] = {1, 6, 6};
+    for (int k = 0; k < 3; ++k) {
+      const auto& stat = m.papi().blocks.at(ids[k]);
+      EXPECT_EQ(stat.executions, execs[k]) << "block " << ids[k];
+      EXPECT_EQ(stat.cycles, static_cast<double>(want.block_cycles[k])) << "block " << ids[k];
+    }
+  }
+}
+
+TEST(Vm, PinnedCountersUnderNonDyadicCostModel) {
+  // Costs that are not multiples of 1/4 make the rounding of every addition
+  // into the cycle counter observable: the pinned values are those of
+  // charging one instruction at a time, in program order.
+  vm::CostModel odd = vm::CostModel::default_model();
+  odd.set_op_cost(ir::Op::AddF, 3.1);
+  odd.set_op_cost(ir::Op::LoadIdx, 4.3);
+  odd.call_overhead = 12.3;
+  const ir::IrProgram prog = ir::compile_source(kPinnedProgram, OptLevel::O0);
+  vm::Vm m{prog, odd};
+  CycleProbe probe;
+  m.set_hooks(&probe);
+  m.run_main();
+  EXPECT_EQ(m.cycles(), 36700.79999999969);
+  EXPECT_EQ(m.papi().instructions, 9040u);
+  EXPECT_EQ(probe.seen_sum(), 388791.199999996);
+  EXPECT_EQ(m.papi().blocks.at(2).cycles, 25303.199999999691);
+  EXPECT_EQ(m.papi().blocks.at(11).cycles, 10523.999999999769);
+}
+
+TEST(Vm, CycleLimitTripsAtTheSameHookCall) {
+  const char* src = R"(
+int main() {
+  int n = p2p_param(0);
+  double a[n];
+  double s = 0.0;
+  for (int it = 0; it < 1000; it = it + 1) {
+    dperf_iter_mark(3);
+    for (int i = 0; i < n; i = i + 1) { s = s + sqrt(1.0 * i); a[i] = s; }
+    p2p_send(1, 1, a, 0, n);
+  }
+  return 0;
+}
+)";
+  struct Case {
+    double limit;
+    std::size_t calls;  // hook calls made before the trap
+    double last;        // cycles seen by the last of them
+  };
+  // Around the sixth hook call (a send: 417 cycles of call overhead and
+  // builtin cost are charged after the limit check that precedes it), the
+  // seventh (an iteration mark) and the eighth.
+  const std::pair<OptLevel, std::vector<Case>> cases[] = {
+      {OptLevel::O0,
+       {{12241.75, 5, 8502}, {12242, 6, 12659}, {12658.75, 6, 12659}, {12659, 6, 12659},
+        {12659.25, 6, 12659}, {12676, 6, 12659}, {12677, 7, 12677}, {14755.5, 7, 12677},
+        {16833.75, 8, 16834}, {16834, 8, 16834}}},
+      {OptLevel::O3,
+       {{7847.75, 5, 5563}, {7848, 6, 8265}, {8264.75, 6, 8265}, {8265, 6, 8265},
+        {8265.25, 6, 8265}, {8272, 6, 8265}, {8273, 7, 8273}, {9624, 7, 8273},
+        {10974.75, 8, 10975}, {10975, 8, 10975}}},
+  };
+  for (const auto& [lvl, rows] : cases) {
+    const ir::IrProgram prog = ir::compile_source(src, lvl);
+    for (const Case& c : rows) {
+      SCOPED_TRACE(std::string(ir::opt_level_name(lvl)) + " limit " + std::to_string(c.limit));
+      vm::Vm m{prog};
+      CycleProbe probe;
+      m.set_hooks(&probe);
+      m.set_cycle_limit(c.limit);
+      EXPECT_THROW(m.run_main(), vm::TrapError);
+      ASSERT_EQ(probe.seen.size(), c.calls);
+      EXPECT_EQ(probe.seen.back(), c.last);
+    }
+  }
+}
+
 // --- optimization pipelines ---
 
 const char* kKernel = R"(
