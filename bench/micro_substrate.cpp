@@ -1,6 +1,7 @@
 // Ablation A4: substrate microbenchmarks (google-benchmark) -- the raw cost
 // of the simulation kernel, the flow-level network model, P2PSAP channels,
-// the proximity metric and the MiniC toolchain.
+// the proximity metric and the MiniC front end and compiler. VM throughput
+// is measured by micro_vm.
 #include <benchmark/benchmark.h>
 
 #include "ir/pipeline.hpp"
@@ -11,7 +12,6 @@
 #include "p2psap/p2psap.hpp"
 #include "sim/mailbox.hpp"
 #include "support/rng.hpp"
-#include "vm/vm.hpp"
 
 namespace {
 
@@ -127,19 +127,6 @@ void BM_MinicCompileO3(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_MinicCompileO3);
-
-void BM_VmDispatchThroughput(benchmark::State& state) {
-  const ir::IrProgram prog = ir::compile_source(
-      "int main() { int s = 0; for (int i = 0; i < 100000; i = i + 1) { s = s + i; } return s; }",
-      ir::OptLevel::O2);
-  for (auto _ : state) {
-    vm::Vm m{prog};
-    benchmark::DoNotOptimize(m.run_main());
-    state.counters["instrs/s"] = benchmark::Counter(
-        static_cast<double>(m.papi().instructions), benchmark::Counter::kIsRate);
-  }
-}
-BENCHMARK(BM_VmDispatchThroughput);
 
 }  // namespace
 

@@ -22,11 +22,11 @@ Dperf::Dperf(const std::string& source, DperfOptions options) : options_(options
   minic::check(inst_.program);
   inst_.blocks = std::move(inst.blocks);
   inst_.iter_loops = inst.iter_loops;
+  program_ = ir::compile(inst_.program, options_.level);
 }
 
 BlockTimings Dperf::benchmark(const Workload& workload, int rank, int nprocs) const {
-  return benchmark_blocks(inst_, options_.level, workload, options_.ref_host_hz, rank,
-                          nprocs);
+  return benchmark_blocks(program_, inst_.blocks, workload, options_.ref_host_hz, rank, nprocs);
 }
 
 Trace Dperf::trace_for_rank(const Workload& full, int rank, int nprocs) const {
@@ -34,21 +34,18 @@ Trace Dperf::trace_for_rank(const Workload& full, int rank, int nprocs) const {
   // Programs without marked communication loops (or without an iteration
   // parameter) have nothing to sample and scale: trace the full run.
   if (inst_.iter_loops == 0 || idx >= full.int_params.size())
-    return generate_trace(inst_, options_.level, full, rank, nprocs, options_.ref_host_hz);
+    return generate_trace(program_, full, rank, nprocs, options_.ref_host_hz);
   const int target = static_cast<int>(full.int_params[idx]);
   int sample = std::min(options_.sample_iters, target);
   // Keep the extrapolation preconditions: sample >= 3*chunk and
   // (target - sample) divisible by chunk.
-  if (target <= 3 * options_.chunk || sample < 3 * options_.chunk) {
-    Workload w = full;
-    return generate_trace(inst_, options_.level, w, rank, nprocs, options_.ref_host_hz);
-  }
+  if (target <= 3 * options_.chunk || sample < 3 * options_.chunk)
+    return generate_trace(program_, full, rank, nprocs, options_.ref_host_hz);
   sample = 3 * options_.chunk + (target - 3 * options_.chunk) % options_.chunk;
   Workload sampled_workload = full;
   sampled_workload.int_params[idx] = sample;
-  Trace sampled =
-      generate_trace(inst_, options_.level, sampled_workload, rank, nprocs,
-                     options_.ref_host_hz);
+  const Trace sampled =
+      generate_trace(program_, sampled_workload, rank, nprocs, options_.ref_host_hz);
   return extrapolate(sampled, sample, target, options_.chunk);
 }
 

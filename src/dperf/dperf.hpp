@@ -31,13 +31,16 @@ struct DperfOptions {
 class Dperf {
  public:
   /// Parses, checks and instruments `source`; the instrumented AST is
-  /// unparsed to text and re-parsed (round trip through source code).
+  /// unparsed to text and re-parsed (round trip through source code), then
+  /// compiled once at the configured level for every run that follows.
   /// Throws minic::CompileError on invalid input.
   Dperf(const std::string& source, DperfOptions options);
 
   const DperfOptions& options() const { return options_; }
   const std::string& instrumented_source() const { return instrumented_source_; }
   const InstrumentedProgram& instrumented() const { return inst_; }
+  /// The instrumented program compiled at options().level.
+  const ir::IrProgram& program() const { return program_; }
 
   /// Block benchmarking at the configured optimization level.
   BlockTimings benchmark(const Workload& workload, int rank = 0, int nprocs = 1) const;
@@ -54,6 +57,7 @@ class Dperf {
   DperfOptions options_;
   InstrumentedProgram inst_;
   std::string instrumented_source_;
+  ir::IrProgram program_;
 };
 
 /// Result of a trace-based replay on a P2PDC deployment.

@@ -98,18 +98,17 @@ double BlockTimings::per_iteration_ns() const {
   return total;
 }
 
-BlockTimings benchmark_blocks(const InstrumentedProgram& inst, ir::OptLevel level,
+BlockTimings benchmark_blocks(const ir::IrProgram& program, const std::vector<BlockInfo>& blocks,
                               const Workload& workload, double host_hz, int rank,
                               int nprocs) {
-  const ir::IrProgram prog = ir::compile(inst.program, level);
-  vm::Vm m{prog};
+  vm::Vm m{program};
   ParamHooks hooks{workload, rank, nprocs};
   m.set_hooks(&hooks);
   m.run_main();
 
   BlockTimings out;
   out.host_hz = host_hz;
-  for (const BlockInfo& info : inst.blocks) {
+  for (const BlockInfo& info : blocks) {
     BlockTimings::Entry e;
     e.info = info;
     const auto it = m.papi().blocks.find(info.id);
@@ -123,14 +122,13 @@ BlockTimings benchmark_blocks(const InstrumentedProgram& inst, ir::OptLevel leve
   return out;
 }
 
-Trace generate_trace(const InstrumentedProgram& inst, ir::OptLevel level,
-                     const Workload& workload, int rank, int nprocs, double host_hz) {
-  const ir::IrProgram prog = ir::compile(inst.program, level);
+Trace generate_trace(const ir::IrProgram& program, const Workload& workload, int rank,
+                     int nprocs, double host_hz) {
   Trace trace;
   trace.rank = rank;
   trace.nprocs = nprocs;
   trace.host_hz = host_hz;
-  vm::Vm m{prog};
+  vm::Vm m{program};
   RecorderHooks hooks{workload, rank, nprocs, host_hz, trace};
   m.set_hooks(&hooks);
   m.run_main();

@@ -39,15 +39,15 @@ struct BlockTimings {
   double per_iteration_ns() const;
 };
 
-/// Executes the instrumented program at `level` with no-op communication and
-/// returns the vPAPI block statistics.
-BlockTimings benchmark_blocks(const InstrumentedProgram& inst, ir::OptLevel level,
+/// Executes `program`, the compiled instrumented program, with no-op
+/// communication and returns the vPAPI statistics of its `blocks`.
+BlockTimings benchmark_blocks(const ir::IrProgram& program, const std::vector<BlockInfo>& blocks,
                               const Workload& workload, double host_hz, int rank = 0,
                               int nprocs = 1);
 
-/// Executes the instrumented program for one rank and records its trace.
-/// Computation times are expressed at `host_hz`.
-Trace generate_trace(const InstrumentedProgram& inst, ir::OptLevel level,
-                     const Workload& workload, int rank, int nprocs, double host_hz);
+/// Executes `program` for one rank and records its trace. Computation times
+/// are expressed at `host_hz`.
+Trace generate_trace(const ir::IrProgram& program, const Workload& workload, int rank,
+                     int nprocs, double host_hz);
 
 }  // namespace pdc::dperf

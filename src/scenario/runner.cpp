@@ -487,15 +487,31 @@ PhaseRecord Runner::run_reference() const {
   return ph;
 }
 
-PhaseRecord Runner::run_predicted(std::vector<dperf::Trace> traces) const {
-  return replay(std::make_shared<const std::vector<dperf::Trace>>(std::move(traces)));
+std::unique_ptr<Deployment> Runner::open_phase(bool analytic) const {
+  if (obs::TraceRecorder* tr = obs::trace(); tr != nullptr)
+    tr->begin_phase(analytic ? "analytic" : "predicted");
+  if (!analytic) return deploy();
+  // A deployment supplies the platform, the booted overlay (tracker lists
+  // for the collection model) and the worker placement — but the planner
+  // runs zero simulation on it: no events, no flows, no churn injection
+  // (the injector is never armed; the plan prices the churn-free baseline).
+  // Workers boot lazily regardless of the spec's knob: passive registration
+  // yields the identical placement without simulating any peer actors, so
+  // the deployment cost stays out of the plan's per-grid-point budget.
+  RunSpec lazy = spec_.run;
+  lazy.lazy_boot = true;
+  return scenario::deploy(spec_.platform, lazy);
 }
 
-PhaseRecord Runner::replay(std::shared_ptr<const std::vector<dperf::Trace>> traces) const {
+PhaseRecord Runner::run_predicted(std::vector<dperf::Trace> traces) const {
+  return replay(open_phase(false),
+                std::make_shared<const std::vector<dperf::Trace>>(std::move(traces)));
+}
+
+PhaseRecord Runner::replay(std::unique_ptr<Deployment> d,
+                           std::shared_ptr<const std::vector<dperf::Trace>> traces) const {
   const RunSpec& run = spec_.run;
   obs::TraceRecorder* tr = obs::trace();
-  if (tr) tr->begin_phase("predicted");
-  auto d = deploy();
   // The prediction replays under the *identical* expanded event stream as
   // the reference (same timeline, same injection seed), so mode=both
   // measures prediction accuracy under churn, not under different luck.
@@ -531,19 +547,13 @@ PhaseRecord Runner::replay(std::shared_ptr<const std::vector<dperf::Trace>> trac
 }
 
 PhaseRecord Runner::run_analytic(const std::vector<dperf::Trace>& traces) const {
+  return plan(open_phase(true), traces);
+}
+
+PhaseRecord Runner::plan(std::unique_ptr<Deployment> d,
+                         const std::vector<dperf::Trace>& traces) const {
   const RunSpec& run = spec_.run;
   obs::TraceRecorder* tr = obs::trace();
-  if (tr) tr->begin_phase("analytic");
-  // A deployment supplies the platform, the booted overlay (tracker lists
-  // for the collection model) and the worker placement — but the planner
-  // runs zero simulation on it: no events, no flows, no churn injection
-  // (the injector is never armed; the plan prices the churn-free baseline).
-  // Workers boot lazily regardless of the spec's knob: passive registration
-  // yields the identical placement without simulating any peer actors, so
-  // the deployment cost stays out of the plan's per-grid-point budget.
-  RunSpec lazy = run;
-  lazy.lazy_boot = true;
-  auto d = scenario::deploy(spec_.platform, lazy);
   obstacle::DistributedConfig cfg = config_of(run);
   if (tr)
     tr->span_begin(tr->track("run"), "analytic", d->engine.now(),
@@ -615,16 +625,21 @@ RunRecord Runner::run_phases(const char*& phase) const {
     rec.reference = run_reference();
   }
   if (mode != Mode::Reference) {
-    // Replay and plan read the memoized trace set in place.
+    // Deploy before deriving the trace set, so a platform that cannot host
+    // the run fails before any rank is traced. Replay and plan then read
+    // the memoized trace set in place.
+    const bool replays = mode != Mode::Analytic;
+    phase = replays ? "predicted" : "analytic";
+    std::unique_ptr<Deployment> d = open_phase(!replays);
     phase = "traces";
     const std::shared_ptr<const std::vector<dperf::Trace>> tr = trace_set();
-    if (mode != Mode::Analytic) {
+    if (replays) {
       phase = "predicted";
-      rec.predicted = replay(tr);
+      rec.predicted = replay(std::move(d), tr);
     }
     if (mode == Mode::Analytic || mode == Mode::BothAnalytic) {
       phase = "analytic";
-      rec.analytic = run_analytic(*tr);
+      rec.analytic = plan(replays ? open_phase(true) : std::move(d), *tr);
     }
   }
   if (recorder) {

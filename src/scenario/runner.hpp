@@ -180,7 +180,12 @@ class Runner {
   RunRecord run_phases(const char*& phase) const;
   /// The memoized trace set behind traces(), shared rather than copied.
   std::shared_ptr<const std::vector<dperf::Trace>> trace_set() const;
-  PhaseRecord replay(std::shared_ptr<const std::vector<dperf::Trace>> traces) const;
+  /// Starts the predicted or the analytic phase on the trace recorder and
+  /// deploys for it.
+  std::unique_ptr<Deployment> open_phase(bool analytic) const;
+  PhaseRecord replay(std::unique_ptr<Deployment> d,
+                     std::shared_ptr<const std::vector<dperf::Trace>> traces) const;
+  PhaseRecord plan(std::unique_ptr<Deployment> d, const std::vector<dperf::Trace>& traces) const;
 
   ScenarioSpec spec_;
 };

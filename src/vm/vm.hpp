@@ -5,6 +5,33 @@
 // timings come from a per-opcode cycle model instead of performance-counter
 // registers, giving noise-free "measurements" with the same interface role
 // (per-block durations in nanoseconds at a given core frequency).
+//
+// Execution model. The constructor decodes every ir::IrFunction once into
+// flat code: builtins resolve to their own opcodes, block ids to code
+// offsets, callees to decoded functions. The interpreter then charges the
+// cost model once per *segment*, not per instruction. A segment is a run of
+// instructions that ends at a terminator, a BlockBegin, BlockEnd or
+// IterMark, an AllocArr, a user call, or a p2p_send, p2p_recv or
+// p2p_allreduce_max call. Its static cost (op costs, plus the call overhead,
+// per-argument and builtin costs of the builtins inside it) and its
+// instruction count are added at its start, where the cycle limit is
+// checked; a segment-ending call adds its own call costs just before it
+// runs. Those ends are the only points where anything reads cycles(): block
+// timers, the iteration-mark and communication hooks, a callee's first
+// segment. They see exactly the value that charging one instruction at a
+// time, in program order, would give, and a cycle limit trips before the
+// same hook call. The p2p_rank, p2p_nprocs, p2p_param and p2p_param_f hooks
+// run mid-segment and must not read cycles().
+//
+// Equality holds because the additions are exact: the decoder takes the
+// segment path only when every cost of the model is a non-negative multiple
+// of 1/4 no larger than 2^20, so partial sums are exact while the counter
+// stays below 2^51 cycles (8.7 days of model time at 3 GHz).
+// CostModel::default_model() qualifies. For any other model the same
+// decoder ends a segment after every instruction, which reproduces the
+// per-instruction rounding. After a trap, cycles() and the instruction count
+// may include the rest of the trapping segment, and a cycle-limit trap may
+// pre-empt another trap later in the same segment.
 #pragma once
 
 #include <cstdint>
@@ -47,6 +74,9 @@ class CostModel {
   double op_cost(ir::Op op) const { return op_cost_[static_cast<std::size_t>(op)]; }
   void set_op_cost(ir::Op op, double cycles) { op_cost_[static_cast<std::size_t>(op)] = cycles; }
   double builtin_cost(const std::string& name) const;
+  /// True when every cost is a non-negative multiple of 1/4 no larger than
+  /// 2^20: the precondition for charging cycles once per segment.
+  bool quarter_exact() const;
   double call_overhead = 12;
   double per_arg_cost = 1;
   double alloc_base = 100;
@@ -112,7 +142,11 @@ class StopExecution : public std::runtime_error {
 
 class Vm {
  public:
+  /// Decodes `program`, which must outlive the Vm.
   explicit Vm(const ir::IrProgram& program, CostModel model = CostModel::default_model());
+  ~Vm();
+  Vm(const Vm&) = delete;
+  Vm& operator=(const Vm&) = delete;
 
   void set_hooks(CommHooks* hooks);
 
@@ -131,11 +165,16 @@ class Vm {
   void set_cycle_limit(double limit) { cycle_limit_ = limit; }
 
  private:
-  Value exec(const ir::IrFunction& fn, std::vector<Value> scalar_args,
-             std::vector<std::shared_ptr<ArrayObj>> array_args, int depth);
+  struct Function;  // one ir::IrFunction decoded to flat code (vm.cpp)
+
+  /// Runs `fn` with argument i in register i; array parameters bind to
+  /// `array_args[param_index]`.
+  Value exec(Function& fn, const Value* args, std::size_t nargs,
+             const std::shared_ptr<ArrayObj>* array_args, int depth);
 
   const ir::IrProgram* prog_;
   CostModel model_;
+  std::vector<Function> functions_;  // parallel to prog_->functions
   CommHooks default_hooks_;
   CommHooks* hooks_;
   double cycles_ = 0;

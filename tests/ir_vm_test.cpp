@@ -182,9 +182,9 @@ TEST(Vm, CyclesScaleWithWork) {
 
 // --- pinned cycle accounting ---
 //
-// The constants below were recorded from the reference per-instruction
-// interpreter. The VM may charge cycles in any grouping, but every hook,
-// block timer and counter must read exactly these values.
+// The constants are those of charging one instruction at a time, in program
+// order. The VM may group its charges, but every hook, block timer and
+// counter must read exactly these values.
 
 const char* kPinnedProgram = R"(
 double wsum(double a[], int n, double w) {

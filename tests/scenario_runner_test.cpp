@@ -138,6 +138,24 @@ TEST(ScenarioRunner, XdslPlatformTooSmallFailsPromptly) {
   EXPECT_LT(seconds, 10.0);
 }
 
+// The predicted and analytic phases deploy before deriving the trace set: a
+// platform that cannot host the run fails without tracing a single rank.
+TEST(ScenarioRunner, TooSmallPlatformFailsBeforeTracing) {
+  const std::pair<Mode, const char*> cases[] = {{Mode::Predict, "[predicted] "},
+                                                {Mode::Analytic, "[analytic] "}};
+  for (const auto& [mode, phase] : cases) {
+    RunSpec run;
+    run.peers = 1500;
+    run.mode = mode;
+    run.grid_n = 130;
+    run.iters = 40;
+    const std::uint64_t misses = memo_stats().traces.misses;
+    const RunRecord rec = Runner{{"xdsl-no-traces", PlatformSpec::xdsl(), run}}.try_run();
+    EXPECT_EQ(rec.error, std::string(phase) + "platform has 1024 hosts, run needs 1507");
+    EXPECT_EQ(memo_stats().traces.misses, misses) << phase;
+  }
+}
+
 // Paper §IV invariant (Fig. 10): on the identical platform, the dPerf
 // prediction must land on the reference execution. mode=both runs both
 // phases and reports the relative error in one record.
